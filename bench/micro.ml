@@ -26,9 +26,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     let keep = Universe.missing universe ~user in
     let g1 = P.rand_g drbg and g2 = P.rand_g drbg in
     let k = P.rand_scalar drbg in
+    let g1_bytes = P.G.to_bytes g1 in
+    let pairs8 = List.init 8 (fun _ -> (P.rand_g drbg, P.rand_g drbg)) in
     [
       Test.make ~name:(P.name ^ "/pairing") (Staged.stage (fun () -> P.e g1 g2));
+      Test.make ~name:(P.name ^ "/e_prod-8") (Staged.stage (fun () -> P.e_prod pairs8));
       Test.make ~name:(P.name ^ "/g-exp") (Staged.stage (fun () -> P.G.pow g1 k));
+      (* Decoding includes the [r]P subgroup check. *)
+      Test.make ~name:(P.name ^ "/g-decode") (Staged.stage (fun () -> P.G.of_bytes g1_bytes));
       Test.make ~name:(P.name ^ "/abs-sign")
         (Staged.stage (fun () -> Abs.sign drbg mvk sk ~msg ~policy));
       Test.make ~name:(P.name ^ "/abs-verify")
@@ -38,7 +43,14 @@ module Make (P : Zkqac_group.Pairing_intf.PAIRING) = struct
     ]
 end
 
+(* Bechamel waits for the major heap's live words to settle before it
+   measures, and the GC-event monitor domain allocates as it polls; it is
+   paused while Bechamel runs, or the wait never ends. *)
 let run_tests tests =
+  let module Rte = Zkqac_telemetry.Rte in
+  let rte_on = Rte.started () in
+  if rte_on then Rte.stop ();
+  Fun.protect ~finally:(fun () -> if rte_on then Rte.start ()) @@ fun () ->
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in

@@ -50,42 +50,122 @@ let add c p q =
       Affine (x3, y3)
     end
 
-(* Fixed 4-bit-window scalar multiplication: precompute 1P..15P once, then
-   one add per nibble instead of per set bit -- a ~25% saving on the long
-   exponentiations that dominate pairing-based signing. *)
+(* Jacobian coordinates: (X : Y : Z) stands for (X/Z^2, Y/Z^3) and Z = 0 for
+   the point at infinity. Doubling and addition need no inversion; only the
+   conversion back to affine pays one. *)
+type jac = { x : B.t; y : B.t; z : B.t }
+
+let jinfinity = { x = B.one; y = B.one; z = B.zero }
+let to_jac = function Infinity -> jinfinity | Affine (x, y) -> { x; y; z = B.one }
+
+let of_jac c v =
+  if B.is_zero v.z then Infinity
+  else begin
+    let zi = Fp.inv c v.z in
+    let zi2 = Fp.sqr c zi in
+    Affine (Fp.mul c v.x zi2, Fp.mul c v.y (Fp.mul c zi2 zi))
+  end
+
+(* S = 4XY^2, M = 3X^2 + Z^4 (a = 1), X' = M^2 - 2S, Y' = M(S - X') - 8Y^4,
+   Z' = 2YZ. A point with Y = 0 has order 2, and Z' = 0 makes its double
+   infinity without a branch; so does Z = 0. *)
+let jdouble c v =
+  let xx = Fp.sqr c v.x and yy = Fp.sqr c v.y and zz = Fp.sqr c v.z in
+  let m = Fp.add c (Fp.add c (Fp.add c xx xx) xx) (Fp.sqr c zz) in
+  let s = Fp.mul c v.x yy in
+  let s = Fp.add c s s in
+  let s = Fp.add c s s in
+  let x3 = Fp.sub c (Fp.sqr c m) (Fp.add c s s) in
+  let y4 = Fp.sqr c yy in
+  let y4 = Fp.add c y4 y4 in
+  let y4 = Fp.add c y4 y4 in
+  let y3 = Fp.sub c (Fp.mul c m (Fp.sub c s x3)) (Fp.add c y4 y4) in
+  ({ x = x3; y = y3; z = Fp.mul c (Fp.add c v.y v.y) v.z }, m, yy, zz)
+
+(* U1 = X1 Z2^2, U2 = X2 Z1^2, S1 = Y1 Z2^3, S2 = Y2 Z1^3, H = U2 - U1,
+   R = S2 - S1; X3 = R^2 - H^3 - 2 U1 H^2, Y3 = R (U1 H^2 - X3) - S1 H^3,
+   Z3 = Z1 Z2 H. With Z2 = 1 (an affine w) U1 and S1 cost nothing. *)
+let jadd c v w =
+  if B.is_zero v.z then (w, B.zero, B.zero)
+  else if B.is_zero w.z then (v, B.zero, B.zero)
+  else begin
+    let vzz = Fp.sqr c v.z in
+    let u2 = Fp.mul c w.x vzz and s2 = Fp.mul c w.y (Fp.mul c vzz v.z) in
+    let u1, s1, zz =
+      if B.is_one w.z then (v.x, v.y, v.z)
+      else begin
+        let wzz = Fp.sqr c w.z in
+        (Fp.mul c v.x wzz, Fp.mul c v.y (Fp.mul c wzz w.z), Fp.mul c v.z w.z)
+      end
+    in
+    let h = Fp.sub c u2 u1 and r = Fp.sub c s2 s1 in
+    let sum =
+      if Fp.is_zero h then begin
+        if Fp.is_zero r then
+          let d, _, _, _ = jdouble c v in
+          d
+        else jinfinity
+      end
+      else begin
+        let hh = Fp.sqr c h in
+        let hhh = Fp.mul c hh h and u1hh = Fp.mul c u1 hh in
+        let x3 = Fp.sub c (Fp.sub c (Fp.sqr c r) hhh) (Fp.add c u1hh u1hh) in
+        let y3 = Fp.sub c (Fp.mul c r (Fp.sub c u1hh x3)) (Fp.mul c s1 hhh) in
+        { x = x3; y = y3; z = Fp.mul c zz h }
+      end
+    in
+    (sum, h, r)
+  end
+
+(* Fixed 4-bit window over Jacobian coordinates: one add per nibble instead
+   of per set bit, and a single inversion at the end. The table 1P..15P is
+   built with mixed adds of the affine P and stays Jacobian: at the scalar
+   sizes used here, full Jacobian adds in the main loop cost less than the
+   inversion plus per-entry scaling that an affine table would need. *)
 let window_bits = 4
 
 let mul c k p =
   if B.sign k < 0 then invalid_arg "Curve.mul: negative scalar";
+  let double v =
+    let d, _, _, _ = jdouble c v in
+    d
+  in
+  let add v w =
+    let s, _, _ = jadd c v w in
+    s
+  in
+  let pj = to_jac p in
   let nb = B.num_bits k in
-  if nb <= window_bits * 2 then begin
+  let r = ref jinfinity in
+  if nb <= window_bits * 2 then
     (* Tiny scalars: plain double-and-add beats table setup. *)
-    let r = ref Infinity in
     for i = nb - 1 downto 0 do
-      r := double c !r;
-      if B.testbit k i then r := add c !r p
-    done;
-    !r
-  end
+      r := double !r;
+      if B.testbit k i then r := add !r pj
+    done
   else begin
-    let table = Array.make (1 lsl window_bits) Infinity in
+    let table = Array.make (1 lsl window_bits) jinfinity in
     for i = 1 to (1 lsl window_bits) - 1 do
-      table.(i) <- add c table.(i - 1) p
+      table.(i) <- add table.(i - 1) pj
     done;
-    let windows = (nb + window_bits - 1) / window_bits in
-    let r = ref Infinity in
-    for w = windows - 1 downto 0 do
-      for _ = 1 to window_bits do
-        r := double c !r
-      done;
-      let nibble = ref 0 in
+    let nibble w =
+      let n = ref 0 in
       for b = window_bits - 1 downto 0 do
-        nibble := (!nibble lsl 1) lor (if B.testbit k ((w * window_bits) + b) then 1 else 0)
+        n := (!n lsl 1) lor (if B.testbit k ((w * window_bits) + b) then 1 else 0)
       done;
-      if !nibble <> 0 then r := add c !r table.(!nibble)
-    done;
-    !r
-  end
+      !n
+    in
+    let windows = (nb + window_bits - 1) / window_bits in
+    r := table.(nibble (windows - 1));
+    for w = windows - 2 downto 0 do
+      for _ = 1 to window_bits do
+        r := double !r
+      done;
+      let n = nibble w in
+      if n <> 0 then r := add !r table.(n)
+    done
+  end;
+  of_jac c !r
 
 let hash_to_point c ~domain msg =
   let p = Fp.modulus c in

@@ -64,134 +64,68 @@ let create (params : Typea_params.t) : (module Pairing_intf.PAIRING) =
         | Some _ | None -> None
     end
 
-    (* Miller loop computing f_{r,P}(psi(Q)) for affine P, Q. The evaluation
-       point psi(Q) = (-xq, yq*i) has F_p real coordinate and purely
-       imaginary y, so each line value is (re, yq) in F_p2. *)
-    let miller xp yp xq yq =
-      let xq' = Fp.neg fp xq in
-      let eval_line lambda xv yv =
-        (* y_psi - yv - lambda * (x_psi - xv), with y_psi = yq * i. *)
-        let re = Fp.sub fp (Fp.neg fp yv) (Fp.mul fp lambda (Fp.sub fp xq' xv)) in
-        Fp2.make re yq
-      in
-      let f = ref Fp2.one in
-      let v = ref (Curve.Affine (xp, yp)) in
-      let nb = B.num_bits r in
-      for i = nb - 2 downto 0 do
-        f := Fp2.sqr fp !f;
-        (match !v with
-         | Curve.Infinity -> ()
-         | Curve.Affine (xv, yv) ->
-           if Fp.is_zero yv then v := Curve.Infinity
-           else begin
-             let lambda =
-               Fp.div fp
-                 (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-                 (Fp.add fp yv yv)
-             in
-             f := Fp2.mul fp !f (eval_line lambda xv yv);
-             v := Curve.double fp !v
-           end);
-        if B.testbit r i then begin
-          match !v with
-          | Curve.Infinity -> ()
-          | Curve.Affine (xv, yv) ->
-            if B.equal xv xp then begin
-              (* Vertical chord (V = -P or V = P with doubling handled
-                 above): the line value lies in F_p and is eliminated. *)
-              if B.equal yv yp then begin
-                let lambda =
-                  Fp.div fp
-                    (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-                    (Fp.add fp yv yv)
-                in
-                f := Fp2.mul fp !f (eval_line lambda xv yv);
-                v := Curve.double fp !v
-              end
-              else v := Curve.Infinity
-            end
-            else begin
-              let lambda = Fp.div fp (Fp.sub fp yp yv) (Fp.sub fp xp xv) in
-              f := Fp2.mul fp !f (eval_line lambda xv yv);
-              v := Curve.add fp !v (Curve.Affine (xp, yp))
-            end
-        end
-      done;
-      !f
+    (* Multi-pairing ∏ e(Pi, Qi), one Miller loop for all terms: because
+       squaring distributes over the product, a single accumulator [f] is
+       squared once per bit of r while every pair contributes its own
+       tangent/chord line values, and one final exponentiation covers all
+       terms.
 
-    let e a b =
-      match (a, b) with
-      | Curve.Infinity, _ | _, Curve.Infinity -> Fp2.one
-      | Curve.Affine (xp, yp), Curve.Affine (xq, yq) ->
-        let f = miller xp yp xq yq in
-        (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
-           raise to the cofactor (p+1)/r. *)
-        let f1 = Fp2.mul fp (Fp2.conj fp f) (Fp2.inv fp f) in
-        Fp2.pow fp f1 cofactor
-
-    (* Multi-pairing ∏ e(Pi, Qi): because squaring distributes over the
-       product, a single Miller accumulator [f] is squared once per bit of r
-       while every pair contributes its own tangent/chord line values, and
-       one final exponentiation covers all terms. An n-term product thus
-       costs n Miller line computations but only one shared squaring chain
-       and one final exponentiation, instead of n of each. *)
+       Each V stays Jacobian, and each line value comes from the
+       intermediates of the double or add that moves V. With
+       psi(Q) = (-xq, yq*i) the affine line through V with slope lambda is
+       (-yv + lambda (xq + xv)) + yq*i; it is multiplied here by a factor in
+       F_p* that clears the denominators (Z(2V)*Z(V)^2 for a tangent, Z(V+P)
+       for a chord), which the (p - 1) part of the final exponentiation
+       removes, like the vertical lines. *)
     let e_prod pairs =
-      let pairs =
+      let terms =
         List.filter_map
           (fun pair ->
             match pair with
             | Curve.Infinity, _ | _, Curve.Infinity -> None
-            | Curve.Affine (xp, yp), Curve.Affine (xq, yq) ->
-              Some (xp, yp, Fp.neg fp xq, yq, ref (Curve.Affine (xp, yp))))
+            | (Curve.Affine (xp, _) as pt), Curve.Affine (xq, yq) ->
+              let pj = Curve.to_jac pt in
+              Some (pj, Fp.add fp xq xp, xq, yq, ref pj))
           pairs
       in
-      if pairs = [] then Fp2.one
+      if terms = [] then Fp2.one
       else begin
-        let eval_line lambda xv yv xq' yq =
-          let re = Fp.sub fp (Fp.neg fp yv) (Fp.mul fp lambda (Fp.sub fp xq' xv)) in
-          Fp2.make re yq
-        in
-        let tangent xv yv =
-          Fp.div fp
-            (Fp.add fp (Fp.mul fp (Fp.of_int fp 3) (Fp.sqr fp xv)) Fp.one)
-            (Fp.add fp yv yv)
-        in
         let f = ref Fp2.one in
-        let nb = B.num_bits r in
-        for i = nb - 2 downto 0 do
+        let line re im = f := Fp2.mul fp !f (Fp2.make re im) in
+        (* Tangent at V: M (X + xq Z^2) - 2 Y^2 + yq Z(2V) Z^2 i. When
+           Z(2V) = 0, V was infinity or of order 2 (a vertical tangent). *)
+        let double_step xq yq v =
+          let v2, m, yy, zz = Curve.jdouble fp !v in
+          if not (B.is_zero v2.z) then
+            line
+              (Fp.sub fp (Fp.mul fp m (Fp.add fp !v.x (Fp.mul fp xq zz))) (Fp.add fp yy yy))
+              (Fp.mul fp yq (Fp.mul fp v2.z zz));
+          v := v2
+        in
+        for i = B.num_bits r - 2 downto 0 do
           f := Fp2.sqr fp !f;
           List.iter
-            (fun (xp, yp, xq', yq, v) ->
-              (match !v with
-               | Curve.Infinity -> ()
-               | Curve.Affine (xv, yv) ->
-                 if Fp.is_zero yv then v := Curve.Infinity
-                 else begin
-                   f := Fp2.mul fp !f (eval_line (tangent xv yv) xv yv xq' yq);
-                   v := Curve.double fp !v
-                 end);
-              if B.testbit r i then begin
-                match !v with
-                | Curve.Infinity -> ()
-                | Curve.Affine (xv, yv) ->
-                  if B.equal xv xp then begin
-                    if B.equal yv yp then begin
-                      f := Fp2.mul fp !f (eval_line (tangent xv yv) xv yv xq' yq);
-                      v := Curve.double fp !v
-                    end
-                    else v := Curve.Infinity
-                  end
-                  else begin
-                    let lambda = Fp.div fp (Fp.sub fp yp yv) (Fp.sub fp xp xv) in
-                    f := Fp2.mul fp !f (eval_line lambda xv yv xq' yq);
-                    v := Curve.add fp !v (Curve.Affine (xp, yp))
-                  end
+            (fun (pj, xqp, xq, yq, v) ->
+              double_step xq yq v;
+              if B.testbit r i && not (B.is_zero !v.z) then begin
+                let sum, h, rr = Curve.jadd fp !v pj in
+                if not (Fp.is_zero h) then begin
+                  (* Chord through P: R (xq + xp) - yp Z + yq Z i, Z = Z(V+P). *)
+                  line (Fp.sub fp (Fp.mul fp rr xqp) (Fp.mul fp pj.y sum.z)) (Fp.mul fp yq sum.z);
+                  v := sum
+                end
+                else if Fp.is_zero rr then double_step xq yq v (* V = P *)
+                else v := sum (* V = -P: vertical, V + P = infinity *)
               end)
-            pairs
+            terms
         done;
+        (* Final exponentiation: f^(p-1) via Frobenius (conjugation), then
+           raise to the cofactor (p+1)/r. *)
         let f1 = Fp2.mul fp (Fp2.conj fp !f) (Fp2.inv fp !f) in
         Fp2.pow fp f1 cofactor
       end
+
+    let e a b = e_prod [ (a, b) ]
 
     let rand_scalar drbg = Zkqac_hashing.Drbg.nonzero_bigint drbg r
 

@@ -13,8 +13,9 @@ val next_prime : Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t
 val sqrt_mod :
   Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t option
 (** [sqrt_mod a p] is a square root of [a] modulo an odd prime [p], if one
-    exists. Uses the p ≡ 3 (mod 4) shortcut when applicable, Tonelli–Shanks
-    otherwise. *)
+    exists. Uses the p ≡ 3 (mod 4) shortcut when applicable (one modular
+    exponentiation, whose closing check is also the residuosity test),
+    Tonelli–Shanks otherwise. *)
 
 val legendre : Zkqac_bigint.Bigint.t -> Zkqac_bigint.Bigint.t -> int
 (** Legendre symbol (a|p) in {-1, 0, 1} for odd prime p. *)

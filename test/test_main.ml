@@ -3,7 +3,7 @@ let () =
      CI, ZKQAC_FLIGHT_DIR is set and the dump is uploaded as an artifact. *)
   try
     Alcotest.run ~and_exit:false "zkqac"
-      (Test_bigint.suite @ Test_hashing.suite @ Test_group.suite
+      (Test_bigint.suite @ Test_hashing.suite @ Test_group.suite @ Test_oracle.suite
       @ Test_policy.suite @ Test_abs.suite @ Test_cpabe.suite
       @ Test_core.suite @ Test_extensions.suite @ Test_features.suite
       @ Test_properties.suite @ Test_typea_e2e.suite @ Test_edges.suite
